@@ -109,7 +109,8 @@ class RecordBatch:
         """Apply the same per-record invariants as :class:`TrafficRecord`.
 
         The comparisons are written negated so NaN values are rejected too
-        (NaNs would silently corrupt the sort-based cleaning primitives).
+        (NaNs would silently corrupt the sort-based cleaning primitives), and
+        infinite times or volumes are rejected because they have no slot.
         """
 
         def first_bad(mask: np.ndarray) -> int:
@@ -135,6 +136,12 @@ class RecordBatch:
                 f"record {index}: bytes_used must be non-negative, "
                 f"got {self.bytes_used[index]}"
             )
+        for name in ("start_s", "end_s", "bytes_used"):
+            column = getattr(self, name)
+            bad = ~np.isfinite(column)
+            if np.any(bad):
+                index = first_bad(bad)
+                raise ValueError(f"record {index}: {name} must be finite, got {column[index]}")
         bad = self.network >= len(NETWORK_NAMES)
         if np.any(bad):
             index = first_bad(bad)

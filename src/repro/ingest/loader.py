@@ -12,6 +12,12 @@ families are provided:
   :class:`~repro.ingest.batch.RecordBatch` objects of a configurable chunk
   size — the fast path, which also bounds memory for traces larger than RAM.
 
+The chunked CSV reader parses each chunk's raw lines in one ``np.loadtxt``
+call.  A ``csv.reader`` row loop replays a chunk only when the bulk parse
+rejects it, or when the chunk holds something the bulk parse does not
+handle (quotes, whitespace, a lone carriage return).  The replay yields the
+same batch the row loop always did, or names the bad line.
+
 All readers are streaming and malformed lines raise
 :class:`TraceFormatError` naming the file path and the offending line.
 Writers accept either an iterable of records or a :class:`RecordBatch`.
@@ -20,13 +26,15 @@ Writers accept either an iterable of records or a :class:`RecordBatch`.
 from __future__ import annotations
 
 import csv
+import io
 import json
+from itertools import islice
 from pathlib import Path
-from typing import Iterable, Iterator, NoReturn
+from typing import BinaryIO, Iterable, Iterator, NoReturn
 
 import numpy as np
 
-from repro.ingest.batch import RecordBatch
+from repro.ingest.batch import NETWORK_NAMES, RecordBatch, encode_networks
 from repro.ingest.records import BaseStationInfo, TrafficRecord
 
 _RECORD_FIELDS = ("user_id", "tower_id", "start_s", "end_s", "bytes_used", "network")
@@ -239,40 +247,158 @@ def _batch_from_csv_rows(
         _raise_locating_bad_row(path, numbered_rows, error)
 
 
+#: Bytes a row of :func:`write_records_csv` output is made of.  A chunk
+#: holding any other byte (a quote, whitespace, NUL, ``inf``) is replayed
+#: through the row loop, so the bulk parse never accepts a row the row loop
+#: would read differently.
+_BULK_BYTES = b"0123456789+-.eE,\r\n" + "".join(NETWORK_NAMES).encode()
+
+#: One CSV row for ``np.loadtxt``.  The network field is one character wider
+#: than the longest label, so a longer value (``LTEX``) survives truncation
+#: as an invalid label instead of passing as a valid one.
+_CSV_ROW_DTYPE = np.dtype(
+    [
+        ("user_id", np.int64),
+        ("tower_id", np.int64),
+        ("start_s", np.float64),
+        ("end_s", np.float64),
+        ("bytes_used", np.float64),
+        ("network", f"U{max(map(len, NETWORK_NAMES)) + 1}"),
+    ]
+)
+
+
+def _as_text(raw: BinaryIO) -> io.TextIOWrapper:
+    """Decode a binary stream the way ``path.open("r", newline="")`` does."""
+    return io.TextIOWrapper(raw, newline="")
+
+
+def _check_header(path: Path, header: list[str] | None) -> None:
+    if header is None or tuple(header) != _RECORD_FIELDS:
+        raise TraceFormatError(
+            f"{path}: unexpected header {header!r}, expected {_RECORD_FIELDS}"
+        )
+
+
+def _text_lines(data: bytes, line_count: int) -> list[str] | None:
+    """``data``'s lines as text, or ``None`` if ``csv`` rows may not be them.
+
+    A quoted field may hold a line break, and text mode also ends a line at
+    a lone carriage return.  ``str.splitlines`` breaks there too (and at a
+    few control characters), so a changed line count flags all of these.
+    """
+    text = data.decode("latin-1").splitlines()
+    if b'"' in data or len(text) != line_count:
+        return None
+    return text
+
+
+def _iter_row_batches(
+    path: Path, text: Iterable[str], first_line: int, chunk_size: int
+) -> Iterator[RecordBatch]:
+    """Batch CSV rows one at a time: the replay path of the bulk parse.
+
+    ``text`` yields the file's lines from line ``first_line`` on; line 1 is
+    the header.
+    """
+    reader = csv.reader(text)
+    if first_line == 1:
+        _check_header(path, next(reader, None))
+        first_line = 2
+    pending: list[tuple[int, list[str]]] = []
+    for line_number, row in enumerate(reader, start=first_line):
+        if not row:
+            continue
+        if len(row) != len(_RECORD_FIELDS):
+            raise TraceFormatError(
+                f"{path}:{line_number}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}"
+            )
+        pending.append((line_number, row))
+        if len(pending) >= chunk_size:
+            yield _batch_from_csv_rows(path, pending)
+            pending = []
+    if pending:
+        yield _batch_from_csv_rows(path, pending)
+
+
+def _read_chunk(handle: BinaryIO, chunk_size: int) -> tuple[bytes, int, int]:
+    """Read lines until ``chunk_size`` of them are non-blank, or to the end.
+
+    Returns the lines joined, their count and the count of non-blank ones.
+    """
+    lines: list[bytes] = []
+    rows = 0
+    while rows < chunk_size:
+        more = list(islice(handle, chunk_size - rows))
+        if not more:
+            break
+        lines += more
+        rows += len(more) - more.count(b"\n") - more.count(b"\r\n")
+    return b"".join(lines), len(lines), rows
+
+
+def _parse_chunk(text: list[str], data: bytes) -> RecordBatch | None:
+    """Bulk-parse a chunk; ``None`` when it must be replayed row by row."""
+    if data.translate(None, _BULK_BYTES) or max(map(len, text)) > csv.field_size_limit():
+        return None
+    try:
+        table = np.loadtxt(
+            text, dtype=_CSV_ROW_DTYPE, delimiter=",", comments=None, ndmin=1
+        )
+        return RecordBatch(
+            user_id=np.ascontiguousarray(table["user_id"]),
+            tower_id=np.ascontiguousarray(table["tower_id"]),
+            start_s=np.ascontiguousarray(table["start_s"]),
+            end_s=np.ascontiguousarray(table["end_s"]),
+            bytes_used=np.ascontiguousarray(table["bytes_used"]),
+            network=encode_networks(table["network"]),
+        )
+    except (ValueError, OverflowError):
+        return None
+
+
 def iter_record_batches_csv(
     path: str | Path, *, chunk_size: int = DEFAULT_CHUNK_SIZE
 ) -> Iterator[RecordBatch]:
     """Stream a CSV trace as columnar batches of up to ``chunk_size`` records.
 
-    The fast counterpart of :func:`read_records_csv`: rows are parsed in
-    bulk per chunk, so memory stays bounded by the chunk size and the
-    per-record Python overhead disappears.  Malformed rows raise
-    :class:`TraceFormatError` naming the file path and line.
+    The fast counterpart of :func:`read_records_csv`: each chunk is parsed
+    in bulk, so memory stays bounded by the chunk size and the per-record
+    Python overhead disappears.  ``chunk_size`` counts non-blank rows.
+    Malformed rows raise :class:`TraceFormatError` naming the file path and
+    line.
     """
     if chunk_size <= 0:
         raise ValueError(f"chunk_size must be positive, got {chunk_size}")
     path = Path(path)
-    with path.open("r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header is None or tuple(header) != _RECORD_FIELDS:
-            raise TraceFormatError(
-                f"{path}: unexpected header {header!r}, expected {_RECORD_FIELDS}"
-            )
-        pending: list[tuple[int, list[str]]] = []
-        for line_number, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != len(_RECORD_FIELDS):
-                raise TraceFormatError(
-                    f"{path}:{line_number}: expected {len(_RECORD_FIELDS)} fields, got {len(row)}"
+    with path.open("rb") as handle:
+        header = handle.readline()
+        if _text_lines(header, 1) is None:
+            handle.seek(0)
+            yield from _iter_row_batches(path, _as_text(handle), 1, chunk_size)
+            return
+        _check_header(path, next(csv.reader(_as_text(io.BytesIO(header))), None))
+        line_number = 2
+        while True:
+            offset = handle.tell()
+            data, line_count, rows = _read_chunk(handle, chunk_size)
+            if not rows:
+                return
+            text = _text_lines(data, line_count)
+            if text is None:
+                # Rows and lines may part ways from here: the row loop reads
+                # the rest of the file.
+                handle.seek(offset)
+                yield from _iter_row_batches(path, _as_text(handle), line_number, chunk_size)
+                return
+            batch = _parse_chunk(text, data)
+            if batch is None:
+                yield from _iter_row_batches(
+                    path, _as_text(io.BytesIO(data)), line_number, chunk_size
                 )
-            pending.append((line_number, row))
-            if len(pending) >= chunk_size:
-                yield _batch_from_csv_rows(path, pending)
-                pending = []
-        if pending:
-            yield _batch_from_csv_rows(path, pending)
+            else:
+                yield batch
+            line_number += line_count
 
 
 def read_record_batch_csv(path: str | Path) -> RecordBatch:

@@ -511,6 +511,58 @@ class TestCLIErrorPaths:
         assert "window" in err and str(trace) in err
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.fixture()
+    def bad_trace(self, tmp_path):
+        """A records CSV whose third line ends before it starts."""
+        trace = tmp_path / "bad.csv"
+        trace.write_text(
+            "user_id,tower_id,start_s,end_s,bytes_used,network\n"
+            "1,0,0.0,10.0,5.0,LTE\n"
+            "2,0,20.0,10.0,5.0,LTE\n"
+        )
+        return trace
+
+    @staticmethod
+    def _assert_one_line_naming(err: str, location: str) -> None:
+        assert err.startswith(f"repro-traffic: error: {location}: ")
+        assert "must not precede" in err
+        assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("chunk_size", [[], ["--chunk-size", "1"]])
+    def test_fit_malformed_trace_exits_2_naming_the_line(
+        self, tmp_path, bad_trace, chunk_size, capsys
+    ):
+        stations = tmp_path / "stations.csv"
+        stations.write_text("tower_id,address,lat,lon\n0,somewhere,,\n")
+        exit_code = main(
+            ["fit", "--input", str(bad_trace), "--stations", str(stations), "--days", "1",
+             *chunk_size]
+        )
+        assert exit_code == 2
+        self._assert_one_line_naming(capsys.readouterr().err, f"{bad_trace}:3")
+
+    @pytest.mark.parametrize("chunk_size", [[], ["--chunk-size", "1"]])
+    def test_update_malformed_trace_exits_2_naming_the_line(
+        self, tmp_path, bad_trace, chunk_size, capsys
+    ):
+        bundle = tmp_path / "bundle"
+        assert main(
+            ["fit", "--towers", "20", "--users", "40", "--days", "2", "--seed", "2",
+             "--clusters", "3", "--save", str(bundle)]
+        ) == 0
+        capsys.readouterr()
+        exit_code = main(
+            ["update", "--model", str(bundle), "--input", str(bad_trace), *chunk_size]
+        )
+        assert exit_code == 2
+        self._assert_one_line_naming(capsys.readouterr().err, f"{bad_trace}:3")
+
+    def test_fit_help_says_workers_need_input(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["fit", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "requires --input with --chunk-size" in help_text
+
 
 class TestParallelCLI:
     """Validation and end-to-end paths of --workers (shard-parallel ingest)."""

@@ -118,6 +118,22 @@ class TestRecordBatch:
                 bytes_used=[-1.0], network=["LTE"],
             )
 
+    @pytest.mark.parametrize("value", [np.inf, np.nan])
+    @pytest.mark.parametrize("field", ["start_s", "end_s", "bytes_used"])
+    def test_validation_rejects_non_finite(self, field, value):
+        row = {"start_s": 0.0, "end_s": 1.0, "bytes_used": 1.0}
+        row[field] = value
+        if field == "start_s":
+            row["end_s"] = value  # keep end >= start so the error names start_s
+        with pytest.raises(ValueError, match=rf"record 1: {field}"):
+            RecordBatch(
+                user_id=[1, 2], tower_id=[1, 1],
+                start_s=[0.0, row["start_s"]], end_s=[1.0, row["end_s"]],
+                bytes_used=[1.0, row["bytes_used"]], network=["LTE", "LTE"],
+            )
+        with pytest.raises(ValueError, match=rf"^{field}"):
+            TrafficRecord(user_id=2, tower_id=1, network="LTE", **row)
+
     def test_validation_reports_offending_index(self):
         with pytest.raises(ValueError, match="record 2"):
             RecordBatch(
